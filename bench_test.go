@@ -300,7 +300,7 @@ func buildScanStoreVerify(b *testing.B, verify bool) (*fishstore.Store, fishstor
 }
 
 // buildScanStoreOpts is buildScanStore with an options mutator, so variants
-// can disable individual read-path layers (page cache, summaries, hot chains)
+// can disable individual read-path layers (the page cache, verification)
 // and measure each one's contribution in isolation.
 func buildScanStoreOpts(b *testing.B, mutate func(*fishstore.Options)) (*fishstore.Store, fishstore.Property) {
 	w := harness.Table1()["yelp"]
@@ -411,33 +411,21 @@ func BenchmarkScanIndexPrefetch(b *testing.B)   { benchScan(b, fishstore.ScanFor
 func BenchmarkScanIndexNoPrefetch(b *testing.B) { benchScan(b, fishstore.ScanIndexNoPrefetch) }
 func BenchmarkScanFull(b *testing.B)            { benchScan(b, fishstore.ScanForceFull) }
 
-// BenchmarkScanIndexRawPrefetch is the adaptive index scan with every
-// read-path cache disabled: pure §7.2 window speculation plus the
-// observed-latency clamp. Compare against BenchmarkScanIndexNoPrefetch —
-// with the clamp working, speculation must not lose to exact reads even
-// without the page cache's help.
+// BenchmarkScanIndexRawPrefetch is the adaptive index scan with the page
+// cache disabled: pure §7.2 window speculation plus the observed-latency
+// clamp. BenchmarkScanIndexNoPrefetch never reads through the page cache,
+// so the pair differs only in speculation; the perf gate's
+// prefetch-not-a-pessimization invariant compares the two.
 func BenchmarkScanIndexRawPrefetch(b *testing.B) {
 	benchScanStore(b, func(b *testing.B) (*fishstore.Store, fishstore.Property) {
-		return buildScanStoreOpts(b, func(o *fishstore.Options) {
-			o.PageCachePages = -1
-			o.HotChainEntries = -1
-			o.DisablePageSummaries = true
-		})
+		return buildScanStoreOpts(b, func(o *fishstore.Options) { o.PageCachePages = -1 })
 	}, fishstore.ScanForceIndex)
 }
 
-// BenchmarkScanFullParallel sweeps the same range page-parallel (4 workers);
-// BenchmarkScanFullNoSummaries strips the per-page PSF membership summaries
-// so the summary-skip contribution to BenchmarkScanFull is visible.
+// BenchmarkScanFullParallel sweeps the same range page-parallel (4 workers).
 func BenchmarkScanFullParallel(b *testing.B) {
 	benchScanStoreOpts(b, buildScanStore,
 		fishstore.ScanOptions{Mode: fishstore.ScanForceFull, Parallelism: 4})
-}
-
-func BenchmarkScanFullNoSummaries(b *testing.B) {
-	benchScanStore(b, func(b *testing.B) (*fishstore.Store, fishstore.Property) {
-		return buildScanStoreOpts(b, func(o *fishstore.Options) { o.DisablePageSummaries = true })
-	}, fishstore.ScanForceFull)
 }
 
 // The same two scans with VerifyOnRead: every device record's checksum is

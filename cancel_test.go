@@ -82,9 +82,9 @@ func TestCancelFullScan(t *testing.T) {
 }
 
 // TestCancelIndexScanPrefetchInFlight cancels an index scan while the
-// adaptive prefetcher has reads in flight against a slow device. The prefill
-// workers and the chain reader must all observe the context and unwind
-// without leaking guards or poisoning the page cache.
+// adaptive prefetcher has reads in flight against a slow device. The chain
+// reader must observe the context and unwind without leaking guards or
+// poisoning the page cache.
 func TestCancelIndexScanPrefetchInFlight(t *testing.T) {
 	s, id, fd := openDeviceStore(t, storage.FaultConfig{})
 	fd.SetReadDelay(300 * time.Microsecond)

@@ -4,8 +4,8 @@
 // pre-write value — the store is the release fence), plain writes through an
 // object acquired from an atomic load (it is shared by construction), and
 // blocking calls while a sync.Mutex is held (every other locker stalls for
-// the full latency). These are the exact shapes of the hotchain entry,
-// pagecache fill, and chain-splice paths.
+// the full latency). These are the exact shapes of the pagecache fill and
+// chain-splice paths.
 package pubordertest
 
 import (

@@ -150,7 +150,7 @@ func TestCheckInvariantsOrdering(t *testing.T) {
 func TestWriteInvariantsMarksViolation(t *testing.T) {
 	invs := ScanInvariants()
 	res := CheckInvariants(entries(
-		"BenchmarkScanIndexPrefetch", 100.0,
+		"BenchmarkScanIndexRawPrefetch", 100.0,
 		"BenchmarkScanIndexNoPrefetch", 1000.0), invs)
 	var sb strings.Builder
 	if !WriteInvariants(&sb, res) {

@@ -301,16 +301,22 @@ func walkAllHeaders(words []uint64, baseAddr, limit uint64, ls *introspect.LogSn
 func (s *Store) PSFStatus() psf.RegistryStatus { return s.registry.Status() }
 
 // CacheSnapshot is the read-path cache view served at /debug/fishstore/cache:
-// the page cache over immutable on-device log pages, the per-page PSF
-// membership summaries built at flush time, and the hot-chain memoization.
-// Disabled layers report Enabled=false with zeroed stats.
+// the page cache over immutable on-device log pages. A disabled cache
+// reports PageCacheEnabled=false with zeroed stats.
 type CacheSnapshot struct {
 	PageCache        pagecache.Stats `json:"page_cache"`
 	PageCacheEnabled bool            `json:"page_cache_enabled"`
-	Summaries        SummaryStats    `json:"page_summaries"`
-	SummariesEnabled bool            `json:"page_summaries_enabled"`
-	HotChains        HotChainStats   `json:"hot_chains"`
-	HotChainsEnabled bool            `json:"hot_chains_enabled"`
+	// HotChains is kept for source compatibility.
+	//
+	// Deprecated: always zero; the hot-chain cache was removed.
+	HotChains HotChainStats `json:"hot_chains"`
+}
+
+// HotChainStats is the counter set of the removed hot-chain cache.
+//
+// Deprecated: always zero.
+type HotChainStats struct {
+	Entries, Hits, Misses, Installs, Evicted int64
 }
 
 // CacheStats returns a point-in-time snapshot of the read-path caches.
@@ -319,14 +325,6 @@ func (s *Store) CacheStats() CacheSnapshot {
 	if s.pcache != nil {
 		cs.PageCacheEnabled = true
 		cs.PageCache = s.pcache.Stats()
-	}
-	if s.summaries != nil {
-		cs.SummariesEnabled = true
-		cs.Summaries = s.summaries.stats()
-	}
-	if s.hotchain != nil {
-		cs.HotChainsEnabled = true
-		cs.HotChains = s.hotchain.stats()
 	}
 	return cs
 }
@@ -367,7 +365,6 @@ func (s *Store) recordScanDecision(id psf.ID, mode ScanMode, from, to uint64, st
 		ReadBytes:          st.ReadBytes,
 		PrefetchHits:       st.PrefetchHits,
 		PageCacheHits:      st.PageCacheHits,
-		BloomSkips:         st.BloomSkippedPages,
 		Stopped:            st.Stopped,
 		ElapsedSeconds:     elapsed.Seconds(),
 	}

@@ -119,22 +119,13 @@ type Options struct {
 	Tracer *trace.Tracer
 
 	// PageCachePages bounds the read-through page cache over on-device log
-	// pages: scans and chain walks fill it on cold reads and later reads of
-	// the same page are served from memory. 0 means the default (64 pages);
-	// negative disables the cache (every cold read is a device hit, the
-	// pre-cache behaviour). Cached pages are invalidated by TruncateUntil.
+	// pages: full scans and adaptive chain walks fill it on cold reads and
+	// later reads of the same page are served from memory
+	// (ScanIndexNoPrefetch, the verifier and the chain samplers bypass it).
+	// 0 means the default (64 pages); negative disables the cache (every
+	// cold read is a device hit, the pre-cache behaviour). Cached pages are
+	// invalidated by TruncateUntil.
 	PageCachePages int
-
-	// HotChainEntries bounds the hot-chain cache: chains probed repeatedly
-	// (the same property scanned again with no interleaving truncation) have
-	// their on-device link layout memoized so re-probes skip the pointer
-	// chase entirely. 0 means the default (128 chains); negative disables it.
-	HotChainEntries int
-
-	// DisablePageSummaries turns off the per-page PSF membership summaries
-	// (bloom filters built at page-flush time) that let index-complete scans
-	// skip on-device pages containing no matching key pointers.
-	DisablePageSummaries bool
 
 	// DisableTelemetry turns off the workload-attribution layer (per-op
 	// latency sketches, PSF / property / tenant heavy hitters,
@@ -266,9 +257,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.PageCachePages == 0 {
 		out.PageCachePages = 64
-	}
-	if out.HotChainEntries == 0 {
-		out.HotChainEntries = 128
 	}
 	if out.Limits != nil {
 		if out.Limits.MaxInFlightIngestBytes < 0 || out.Limits.MaxConcurrentScans < 0 {

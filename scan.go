@@ -71,7 +71,9 @@ type ScanOptions struct {
 	// Mode selects the execution strategy.
 	Mode ScanMode
 	// Parallelism > 1 splits full-scan segments page-wise across that many
-	// goroutines (Appendix F). Callback invocations are serialized.
+	// goroutines and walks a sharded PSF's shard chains concurrently
+	// (Appendix F). Callback invocations are serialized, in no particular
+	// address order. A non-sharded chain is always walked serially.
 	Parallelism int
 	// Priority orders scans for load shedding: while the SLO watchdog
 	// reports a breach and Limits.ShedScansOnBreach is set, scans with a
@@ -107,9 +109,9 @@ type ScanStats struct {
 	// from the read-through page cache (a subset of PrefetchHits on chain
 	// walks, plus full-scan pages served without touching the device).
 	PageCacheHits int64
-	// BloomSkippedPages counts on-device pages the scan skipped entirely
-	// because their per-page PSF membership summary proved the property
-	// cannot occur on them.
+	// BloomSkippedPages is kept for source compatibility.
+	//
+	// Deprecated: always zero; per-page bloom summaries were removed.
 	BloomSkippedPages int64
 	// Quarantined counts device-fetched records this scan skipped because
 	// their checksum failed (Options.VerifyOnRead). Such records are never
@@ -132,8 +134,8 @@ func (s *Store) Scan(prop Property, opts ScanOptions, cb func(r Record) bool) (S
 
 // ScanContext is Scan with deadline/cancellation propagation: ctx aborts a
 // governor admission wait, is polled at page and chain-hop boundaries on
-// every execution path (serial, parallel, fast pointer-match, paged chain
-// walk), and is threaded into device reads so retry backoff waits abort too.
+// every execution path (serial and parallel full scans, chain walks), and is
+// threaded into device reads so retry backoff waits abort too.
 // A cancelled scan returns ctx's error with the stats accumulated so far;
 // epochs, the page cache, and prefetch state are left consistent.
 func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions, cb func(r Record) bool) (ScanStats, error) {
@@ -246,7 +248,7 @@ func (s *Store) ScanContext(ctx context.Context, prop Property, opts ScanOptions
 			if s.tele != nil {
 				segStart = time.Now()
 			}
-			stopped, err = s.indexScanSegment(ctx, g, prop, canon, seg.From, seg.To, useAP, opts.Parallelism, ssp, emit, &st)
+			stopped, err = s.indexScanSegment(ctx, g, prop, def, canon, seg.From, seg.To, useAP, opts.Parallelism, ssp, emit, &st)
 			if s.tele != nil {
 				s.tele.RecordOp(telemetry.OpIndexScan, time.Since(segStart))
 			}
@@ -374,152 +376,211 @@ func (s *Store) planScan(id psf.ID, from, to uint64, mode ScanMode) []Segment {
 
 // ---- full scan ----
 
-// fullScanSegment walks every record in [from, to), parses the PSF's fields
-// of interest, evaluates the PSF, and emits matches. Over ranges where the
-// PSF's index is guaranteed complete, it switches to the pointer-matching
-// fast path (identical results, no parsing, summary-driven page skips).
+// fullScanSegment evaluates the PSF over every record in [from, to) (§7.1)
+// and emits matches. Over a range where the PSF's index is guaranteed
+// complete it matches records by their ingest-time key pointers instead of
+// parsing them; both matchers give the same answer there (see
+// rangeIndexComplete).
 func (s *Store) fullScanSegment(ctx context.Context, g *epoch.Guard, prop Property, def psf.Definition, canon []byte,
-	from, to uint64, parallelism int, emit func(Record) bool, st *ScanStats) (bool, error) {
+	from, to uint64, workers int, emit func(Record) bool, st *ScanStats) (bool, error) {
 
 	st.FullScanBytes += int64(to - from)
-	if s.rangeIndexComplete(prop.PSF, from, to) {
-		return s.fastFullScanSegment(ctx, g, prop, canon, from, to, parallelism, emit, st)
-	}
 	if tele := s.tele; tele != nil {
-		// The fast pointer-match path times itself (fastFullScanSegment);
-		// this covers the parse-and-evaluate slow paths below.
+		// Pointer-match scans count as full-scan work too: the operator's
+		// question is how much of the read path bypassed the index, not
+		// which matcher ran.
 		start := time.Now()
 		defer func() { tele.RecordOp(telemetry.OpFullScan, time.Since(start)) }()
 	}
-	if parallelism > 1 {
-		return s.parallelFullScan(ctx, def, canon, from, to, parallelism, emit, st)
+	newMatcher := func() (recordMatcher, error) { return s.parseMatcher(def, canon) }
+	if s.rangeIndexComplete(prop.PSF, from, to) {
+		newMatcher = func() (recordMatcher, error) {
+			return func(addr uint64, v record.View) (Record, bool) {
+				return s.matchByPointer(prop, canon, addr, v)
+			}, nil
+		}
 	}
-	psess, err := s.pf.NewSession(def.Fields)
-	if err != nil {
-		return false, err
-	}
-	stopped := false
-	err = s.visitRange(ctx, g, from, to, &st.Quarantined, &st.PageCacheHits, func(addr uint64, v record.View) bool {
-		st.Visited++
-		payload := v.Payload()
-		parsed, perr := psess.Parse(payload)
-		if perr != nil {
-			return true
-		}
-		val := def.Evaluate(parsed)
-		if !bytes.Equal(psf.CanonicalValue(val), canon) {
-			return true
-		}
-		if !emit(Record{Address: addr, Payload: payload}) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	return stopped, err
+	return s.scanPages(ctx, g, from, to, workers, newMatcher, emit, st)
 }
 
-// parallelFullScan distributes pages of [from, to) across workers
-// (Appendix F). Matches are emitted through a mutex, in arbitrary order.
-func (s *Store) parallelFullScan(ctx context.Context, def psf.Definition, canon []byte,
-	from, to uint64, workers int, emit func(Record) bool, st *ScanStats) (bool, error) {
+// rangeIndexComplete reports whether the PSF's index is guaranteed complete
+// over every address in [from, to): within such a range, ingest-time
+// evaluation produced a key pointer for exactly the records the PSF matches,
+// so scanning key pointers and re-evaluating the PSF over parsed payloads
+// give identical answers (records whose parse failed at ingest got no
+// pointer and fail the scan-side parse too; indirect index records match
+// under neither).
+func (s *Store) rangeIndexComplete(id psf.ID, from, to uint64) bool {
+	cur := from
+	for _, iv := range s.registry.Intervals(id) {
+		if cur < iv.From {
+			return false // gap before this interval
+		}
+		if cur < iv.To {
+			cur = iv.To
+		}
+		if cur >= to {
+			return true
+		}
+	}
+	return cur >= to
+}
 
-	pageSize := s.log.PageSize()
-	firstPage := s.log.PageOf(from)
-	lastPage := s.log.PageOf(to - 1)
-	var nextPage atomic.Uint64
-	nextPage.Store(firstPage)
+// recordMatcher decides whether the visible record at addr has the scanned
+// property and returns the record to deliver. A matcher may carry
+// per-goroutine state (a parser session), so every scan worker builds its
+// own.
+type recordMatcher func(addr uint64, v record.View) (Record, bool)
 
-	var mu sync.Mutex
-	var stopped atomic.Bool
-	var visited atomic.Int64
-	var quarantined, cacheHits int64 // updated atomically by visitRange across workers
-	var firstErr error
-	var errMu sync.Mutex
-	var wg sync.WaitGroup
+// parseMatcher returns the parse-and-evaluate matcher: it parses the PSF's
+// fields of interest out of the payload and compares the evaluated value.
+func (s *Store) parseMatcher(def psf.Definition, canon []byte) (recordMatcher, error) {
+	psess, err := s.pf.NewSession(def.Fields)
+	if err != nil {
+		return nil, err
+	}
+	return func(addr uint64, v record.View) (Record, bool) {
+		payload := v.Payload()
+		parsed, err := psess.Parse(payload)
+		if err != nil || !bytes.Equal(psf.CanonicalValue(def.Evaluate(parsed)), canon) {
+			return Record{}, false
+		}
+		return Record{Address: addr, Payload: payload}, true
+	}, nil
+}
 
+// matchByPointer checks whether the record at addr carries a key pointer
+// for prop with the queried value, returning the emitted record on a match.
+// Indirect (historical index) records never match — the parse-based full
+// scan skips them too.
+//
+//fishlint:hotpath per-record subset-scan match
+func (s *Store) matchByPointer(prop Property, canon []byte, addr uint64, v record.View) (Record, bool) {
+	h := v.Header()
+	if h.Indirect {
+		return Record{}, false
+	}
+	for i := 0; i < h.NumPtrs; i++ {
+		kp := v.KeyPointerAt(i)
+		if kp.PSFID != prop.PSF {
+			continue
+		}
+		// At most one pointer per PSF per record: this is the decision.
+		if bytes.Equal(v.ValueBytes(kp), canon) {
+			return Record{Address: addr, Payload: v.Payload()}, true
+		}
+		return Record{}, false
+	}
+	return Record{}, false
+}
+
+// pageClaim hands the pages of [from, to) out to scan workers, lowest first.
+type pageClaim struct {
+	from, to, pageSize, last uint64
+	next                     atomic.Uint64
+	halt                     atomic.Bool // set once the scan stopped or failed
+}
+
+// scanPages is the one full-scan loop (Appendix F): workers claim the
+// pages of [from, to) one at a time and run their matcher over every
+// visible record on them. One worker runs on the caller's goroutine and
+// guard, so delivery is in ascending address order. Several workers each
+// hold their own epoch guard and matcher; emission is serialized, in
+// arbitrary order, and nothing is delivered after the callback stops.
+func (s *Store) scanPages(ctx context.Context, g *epoch.Guard, from, to uint64, workers int,
+	newMatcher func() (recordMatcher, error), emit func(Record) bool, st *ScanStats) (bool, error) {
+
+	pc := &pageClaim{from: from, to: to, pageSize: s.log.PageSize(), last: s.log.PageOf(to - 1)}
+	pc.next.Store(s.log.PageOf(from))
+	if workers <= 1 {
+		match, err := newMatcher()
+		if err != nil {
+			return false, err
+		}
+		return s.claimPages(ctx, g, pc, match, emit, st)
+	}
+
+	var (
+		mu       sync.Mutex // serializes emit and the merge into st
+		stopped  bool
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	// The workers run under their own guards; the caller's must not pin the
+	// safe epoch while it waits for them.
+	g.Unprotect()
+	serialEmit := func(r Record) bool {
+		mu.Lock()
+		if !stopped && !emit(r) {
+			stopped = true
+			pc.halt.Store(true)
+		}
+		ok := !stopped
+		mu.Unlock()
+		return ok
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			wg2 := s.epoch.Acquire()
 			defer wg2.Release()
-			psess, err := s.pf.NewSession(def.Fields)
+			var local ScanStats
+			match, err := newMatcher()
+			if err == nil {
+				_, err = s.claimPages(ctx, wg2, pc, match, serialEmit, &local)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			st.Visited += local.Visited
+			st.Quarantined += local.Quarantined
+			st.PageCacheHits += local.PageCacheHits
 			if err != nil {
-				errMu.Lock()
+				pc.halt.Store(true)
 				if firstErr == nil {
 					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			for !stopped.Load() {
-				if err := ctxErr(ctx); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				p := nextPage.Add(1) - 1
-				if p > lastPage {
-					return
-				}
-				lo := p * pageSize
-				if lo < from {
-					lo = from
-				}
-				hi := (p + 1) * pageSize
-				if hi > to {
-					hi = to
-				}
-				err := s.visitRange(ctx, wg2, lo, hi, &quarantined, &cacheHits, func(addr uint64, v record.View) bool {
-					visited.Add(1)
-					payload := v.Payload()
-					parsed, perr := psess.Parse(payload)
-					if perr != nil {
-						return true
-					}
-					val := def.Evaluate(parsed)
-					if !bytes.Equal(psf.CanonicalValue(val), canon) {
-						return true
-					}
-					mu.Lock()
-					ok := emit(Record{Address: addr, Payload: payload})
-					mu.Unlock()
-					if !ok {
-						stopped.Store(true)
-						return false
-					}
-					return true
-				})
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	st.Visited += visited.Load()
-	st.Quarantined += atomic.LoadInt64(&quarantined)
-	st.PageCacheHits += atomic.LoadInt64(&cacheHits)
-	return stopped.Load(), firstErr
+	g.Protect()
+	return stopped, firstErr
+}
+
+// claimPages is one scan worker: it visits claimed pages until none are
+// left, the scan is halted, or emit asks to stop (reported as true).
+func (s *Store) claimPages(ctx context.Context, g *epoch.Guard, pc *pageClaim, match recordMatcher,
+	emit func(Record) bool, st *ScanStats) (bool, error) {
+
+	stopped := false
+	visit := func(addr uint64, v record.View) bool {
+		st.Visited++
+		if r, ok := match(addr, v); ok && !emit(r) {
+			stopped = true
+		}
+		return !stopped
+	}
+	for !stopped && !pc.halt.Load() {
+		p := pc.next.Add(1) - 1
+		if p > pc.last {
+			break
+		}
+		lo, hi := max(p*pc.pageSize, pc.from), min((p+1)*pc.pageSize, pc.to)
+		if err := s.visitRange(ctx, g, lo, hi, &st.Quarantined, &st.PageCacheHits, visit); err != nil {
+			return stopped, err
+		}
+	}
+	return stopped, nil
 }
 
 // visitRange walks all visible records in [from, to) in address order,
 // reading pages from memory or storage as appropriate. from and to must be
 // record boundaries. With Options.VerifyOnRead, records on device-resident
 // pages are checksum-validated and quarantined on failure: skipped (counted
-// into quarantined, when non-nil, with an atomic add — parallel scan workers
-// share the counter) rather than delivered. In-memory pages are exempt:
-// their records are sealed only at flush time. cacheHits, when non-nil,
-// counts page reads served by the read-through page cache (atomic add).
+// into quarantined, when non-nil) rather than delivered. In-memory pages are
+// exempt: their records are sealed only at flush time. cacheHits, when
+// non-nil, counts page reads served by the read-through page cache.
 func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64, quarantined, cacheHits *int64,
 	visit func(addr uint64, v record.View) bool) error {
 	pageSize := s.log.PageSize()
@@ -552,7 +613,7 @@ func (s *Store) visitRange(ctx context.Context, g *epoch.Guard, from, to uint64,
 				return fmt.Errorf("fishstore: full scan read at %d: %w", addr, err)
 			}
 			if hit && cacheHits != nil {
-				atomic.AddInt64(cacheHits, 1)
+				*cacheHits++
 			}
 			words = w
 			if s.opts.VerifyOnRead {
@@ -617,7 +678,7 @@ func (s *Store) scanCache(useAP bool) *pagecache.Cache {
 // and is a separate trace field so hot callers never concatenate strings.
 func (s *Store) quarantineRecord(addr uint64, quarantined *int64, where, reason string) {
 	if quarantined != nil {
-		atomic.AddInt64(quarantined, 1)
+		*quarantined++
 	}
 	s.metrics.corruptRecords.Inc()
 	s.metrics.reg.Trace("scan.quarantine",
@@ -660,17 +721,16 @@ func walkRecords(words []uint64, baseAddr, limit uint64, visit func(addr uint64,
 // subset hash index. For sharded PSFs (Appendix F) every shard chain is
 // traversed; with opts-level parallelism the shards run concurrently with
 // serialized emission.
-func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Property, canon []byte,
+func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Property, def psf.Definition, canon []byte,
 	from, to uint64, useAP bool, parallelism int, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
 
-	def, _ := s.registry.Lookup(prop.PSF)
 	shards := def.ShardCount()
 	if shards == 1 {
 		slot, ok := s.table.FindEntry(prop.hash())
 		if !ok {
 			return false, nil
 		}
-		return s.walkChain(ctx, g, slot.Address(), prop, canon, from, to, useAP, parallelism, sp, emit, st)
+		return s.walkChain(ctx, g, slot.Address(), prop, canon, from, to, useAP, sp, emit, st)
 	}
 	var heads []uint64
 	for shard := 0; shard < shards; shard++ {
@@ -680,13 +740,13 @@ func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Prope
 		}
 	}
 	if parallelism > 1 && len(heads) > 1 {
-		return s.parallelChainWalk(ctx, heads, prop, canon, from, to, useAP, parallelism, sp, emit, st)
+		return s.parallelChainWalk(ctx, heads, prop, canon, from, to, useAP, sp, emit, st)
 	}
 	for _, head := range heads {
 		if err := ctxErr(ctx); err != nil {
 			return false, err
 		}
-		stopped, err := s.walkChain(ctx, g, head, prop, canon, from, to, useAP, parallelism, sp, emit, st)
+		stopped, err := s.walkChain(ctx, g, head, prop, canon, from, to, useAP, sp, emit, st)
 		if err != nil || stopped {
 			return stopped, err
 		}
@@ -695,10 +755,9 @@ func (s *Store) indexScanSegment(ctx context.Context, g *epoch.Guard, prop Prope
 }
 
 // parallelChainWalk traverses shard chains concurrently (Appendix F's
-// parallel index scan), serializing emission.
+// parallel index scan), one goroutine per chain, serializing emission.
 func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Property, canon []byte,
-	from, to uint64, useAP bool, parallelism int, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
-	_ = parallelism // shards already run concurrently; chains walk serially within each
+	from, to uint64, useAP bool, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
 
 	var mu sync.Mutex // guards emit and st
 	var stopped atomic.Bool
@@ -724,7 +783,7 @@ func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Prop
 				}
 				return ok
 			}
-			if _, err := s.walkChain(ctx, wg2, head, prop, canon, from, to, useAP, 1, sp, wrapped, &local); err != nil {
+			if _, err := s.walkChain(ctx, wg2, head, prop, canon, from, to, useAP, sp, wrapped, &local); err != nil {
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -738,7 +797,6 @@ func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Prop
 			st.ReadBytes += local.ReadBytes
 			st.PrefetchHits += local.PrefetchHits
 			st.PageCacheHits += local.PageCacheHits
-			st.BloomSkippedPages += local.BloomSkippedPages
 			st.Quarantined += local.Quarantined
 			mu.Unlock()
 		}(head)
@@ -757,33 +815,15 @@ func (s *Store) parallelChainWalk(ctx context.Context, heads []uint64, prop Prop
 // is added to st; when sp is a live span, each device read the chain reader
 // issues becomes a scan.io child under it. Index scans and the log
 // verifier's chain phase both walk chains through this one path.
+//
+//fishlint:hotpath per-hop chain resolution on the scan path
 func (s *Store) forEachChainLink(ctx context.Context, g *epoch.Guard, head uint64, floor uint64, useAP bool, sp *trace.Span, st *ScanStats,
-	fn func(kptAddr uint64, view record.View, base uint64, kp record.KeyPointer) bool) error {
-	return s.forEachChainLinkHooked(ctx, g, head, floor, useAP, sp, st, nil, fn)
-}
-
-// forEachChainLinkHooked is forEachChainLink with an optional deviceCross
-// hook: it fires once, with the first link that must be resolved from the
-// device, *before* that resolution happens. Returning false stops the
-// generic walk there (without error), letting the caller take over the
-// on-device suffix — the hot-chain cache and the paged chain walk hang off
-// this point.
-func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head uint64, floor uint64, useAP bool, sp *trace.Span, st *ScanStats,
-	deviceCross func(kptAddr uint64) bool,
 	fn func(kptAddr uint64, view record.View, base uint64, kp record.KeyPointer) bool) error {
 
 	cur := head
-	var cr *chainReader
+	var cr *chainReader // created at the first on-device hop
 	hops := 0
-	defer func() {
-		if cr != nil {
-			st.IOs += cr.ios
-			st.ReadBytes += cr.bytesRead
-			st.PrefetchHits += cr.hits
-			st.PageCacheHits += cr.cacheHits
-			cr.release()
-		}
-	}()
+	defer drainChainReader(&cr, st)
 
 	for cur != 0 && cur >= floor {
 		hops++
@@ -804,13 +844,6 @@ func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head
 			}
 			view, base = v, b
 		} else {
-			if deviceCross != nil {
-				ok := deviceCross(cur)
-				deviceCross = nil // fires at most once
-				if !ok {
-					return nil
-				}
-			}
 			if cr == nil {
 				cr = newChainReader(ctx, s.log, useAP, s.scanCache(useAP), s.metrics, sp)
 			}
@@ -841,7 +874,7 @@ func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head
 		st.IndexHops++
 		st.Visited++
 
-		ptrIndex := (int(s.offsetWordsOf(view, cur, base)) - record.HeaderWords) / record.WordsPerPointer
+		ptrIndex := (int((cur-base)/8) - record.HeaderWords) / record.WordsPerPointer
 		kp := view.KeyPointerAt(ptrIndex)
 		if !fn(cur, view, base, kp) {
 			return nil
@@ -851,128 +884,52 @@ func (s *Store) forEachChainLinkHooked(ctx context.Context, g *epoch.Guard, head
 	return nil
 }
 
+// drainChainReader adds a finished walk's device I/O to st and releases the
+// reader's buffer. *cr is nil when the walk never left memory.
+func drainChainReader(cr **chainReader, st *ScanStats) {
+	if r := *cr; r != nil {
+		st.IOs += r.ios
+		st.ReadBytes += r.bytesRead
+		st.PrefetchHits += r.hits
+		st.PageCacheHits += r.cacheHits
+		r.release()
+	}
+}
+
 // walkChain follows one hash chain from head, emitting matching records
 // whose address lies in [from, to). Entries above `to` are skipped (but
 // still traversed); traversal stops below `from`.
-//
-// At the point where the walk crosses from the in-memory prefix onto the
-// device it consults the hot-chain cache: a chain probed repeatedly replays
-// its memoized on-device links (skipping every non-matching hop), and a
-// parallel walk with a page cache hands the suffix to the two-phase paged
-// walk. A completed generic walk installs (or arms) the memoization for the
-// next probe.
 func (s *Store) walkChain(ctx context.Context, g *epoch.Guard, head uint64, prop Property, canon []byte,
-	from, to uint64, useAP bool, par int, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
+	from, to uint64, useAP bool, sp *trace.Span, emit func(Record) bool, st *ScanStats) (bool, error) {
 
-	sig := prop.hash()
-	useHot := useAP && s.hotchain != nil
-	usePaged := useAP && par > 1 && s.pcache != nil && !s.opts.VerifyOnRead
-
-	var (
-		crossAddr uint64   // first on-device key pointer of the walk
-		hotLinks  []uint64 // memoized links to replay instead of walking
-		paged     bool     // hand the on-device suffix to the paged walk
-		collected []uint64 // matching on-device links seen by this walk
-		lastPrev  uint64   // PrevAddress behind the last processed link
-		stopped   bool
-		cbErr     error
-	)
-	lastPrev = head
-	qBefore := st.Quarantined
-
-	var hook func(cur uint64) bool
-	if useHot || usePaged {
-		hook = func(cur uint64) bool {
-			crossAddr = cur
-			if useHot {
-				if links, ok := s.hotchain.lookup(cur, sig, from); ok {
-					hotLinks = links
-					return false
-				}
+	stopped := false
+	var cbErr error
+	err := s.forEachChainLink(ctx, g, head, from, useAP, sp, st,
+		func(_ uint64, view record.View, base uint64, kp record.KeyPointer) bool {
+			h := view.Header()
+			if !h.Visible || h.Invalid || kp.PSFID != prop.PSF || !bytes.Equal(view.ValueBytes(kp), canon) {
+				return true
 			}
-			if usePaged {
-				paged = true
+			rec, err := s.materialize(ctx, g, view, base, st)
+			if errors.Is(err, errQuarantined) {
+				return true // indirect target corrupt: skip, keep walking
+			}
+			if err != nil {
+				cbErr = err
 				return false
 			}
-			return true
-		}
-	}
-
-	err := s.forEachChainLinkHooked(ctx, g, head, from, useAP, sp, st, hook,
-		func(cur uint64, view record.View, base uint64, kp record.KeyPointer) bool {
-			lastPrev = kp.PrevAddress
-			h := view.Header()
-			match := h.Visible && !h.Invalid && kp.PSFID == prop.PSF &&
-				bytes.Equal(view.ValueBytes(kp), canon)
-			if match && crossAddr != 0 {
-				// Below the crossing the chain is immutable: remember the
-				// matching links for memoized replay.
-				collected = append(collected, cur)
-			}
-			if match {
-				rec, merr := s.materialize(ctx, g, view, base, st)
-				if errors.Is(merr, errQuarantined) {
-					return true // indirect target corrupt: skip, keep walking
-				}
-				if merr != nil {
-					cbErr = merr
-					return false
-				}
-				// For indirect (historical) index records the range check
-				// applies to the referenced data record's address.
-				if rec.Address >= from && rec.Address < to {
-					if !emit(rec) {
-						stopped = true
-						return false
-					}
-				}
+			// For indirect (historical) index records the range check
+			// applies to the referenced data record's address.
+			if rec.Address >= from && rec.Address < to && !emit(rec) {
+				stopped = true
+				return false
 			}
 			return true
 		})
 	if err == nil {
 		err = cbErr
 	}
-	if err != nil {
-		return stopped, err
-	}
-
-	if hotLinks != nil {
-		return s.resolveChainLinks(ctx, g, hotLinks, prop, canon, from, to, par, sp, emit, st)
-	}
-	if paged {
-		pStopped, cands, pLast, pErr := s.pagedDeviceChainWalk(ctx, g, crossAddr, prop, canon, from, to, par, sp, emit, st)
-		if pErr == nil && !pStopped && useHot && st.Quarantined == qBefore {
-			s.maybeInstallHotChain(crossAddr, sig, cands, pLast, from)
-		}
-		return pStopped, pErr
-	}
-
-	// A generic walk that covered the whole on-device suffix (chain end, or
-	// everything down to `from`) without stopping early arms or installs the
-	// hot-chain memoization.
-	if useHot && !stopped && crossAddr != 0 && st.Quarantined == qBefore &&
-		(lastPrev == 0 || lastPrev < from) {
-		s.maybeInstallHotChain(crossAddr, sig, collected, lastPrev, from)
-	}
-	return stopped, nil
-}
-
-// maybeInstallHotChain records a completed walk in the hot-chain cache: the
-// first completed walk arms the key (placeholder), the second installs the
-// memoized links. lastPrev 0 means the chain end was reached, so the entry
-// covers any From; otherwise it only covers From >= the walk's floor.
-func (s *Store) maybeInstallHotChain(crossAddr, sig uint64, links []uint64, lastPrev, from uint64) {
-	if !s.hotchain.shouldInstall(crossAddr, sig) {
-		return
-	}
-	floorCovered := from
-	if lastPrev == 0 {
-		floorCovered = 0
-	}
-	// Copy: links aliases a walk-local slice that may keep growing.
-	installed := make([]uint64, len(links))
-	copy(installed, links)
-	s.hotchain.install(crossAddr, sig, installed, floorCovered)
+	return stopped, err
 }
 
 // inMemoryRecordAt resolves the record containing the key pointer at
@@ -985,14 +942,9 @@ func (s *Store) inMemoryRecordAt(kptAddr uint64) (record.View, uint64, error) {
 	hw := s.log.WordsAt(base, 1)
 	h := record.UnpackHeader(atomic.LoadUint64(&hw[0]))
 	if h.SizeWords == 0 {
-		return record.View{}, 0, fmt.Errorf("fishstore: empty header at %d", base)
+		return record.View{}, 0, errEmptyHeader(base)
 	}
 	return record.View{Words: s.log.WordsAt(base, h.SizeWords)}, base, nil
-}
-
-// offsetWordsOf recovers the key pointer's offset within its record.
-func (s *Store) offsetWordsOf(v record.View, kptAddr, base uint64) uint64 {
-	return (kptAddr - base) / 8
 }
 
 // materialize turns a matched view into a Record, resolving historical

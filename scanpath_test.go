@@ -2,6 +2,7 @@ package fishstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -209,7 +210,7 @@ func TestScanFaultDeviceInjectedLatency(t *testing.T) {
 	// near the profile floor, so the clamp must stay inert and adaptive
 	// prefetching must still return exactly the right records.
 	dev := storage.NewFaultDevice(nil, storage.FaultConfig{ReadDelay: 200 * time.Microsecond})
-	s, id, want := buildDeviceStore(t, Options{Device: dev, PageCachePages: -1, HotChainEntries: -1}, 600)
+	s, id, want := buildDeviceStore(t, Options{Device: dev, PageCachePages: -1}, 600)
 
 	got, st := countScan(t, s, id, ScanOptions{Mode: ScanForceIndex})
 	if got != want {
@@ -252,7 +253,7 @@ func TestPageCacheConcurrentScanTruncate(t *testing.T) {
 		}()
 	}
 	// Ratchet the truncation point forward while scans run: every step drops
-	// cached pages and hot chains below the floor.
+	// cached pages below the floor.
 	span := tail - begin
 	for i := 1; i <= 8; i++ {
 		if err := s.TruncateUntil(begin + span*uint64(i)/16); err != nil {
@@ -276,169 +277,165 @@ func TestPageCacheConcurrentScanTruncate(t *testing.T) {
 	}
 }
 
-func TestHotChainReplayCorrectness(t *testing.T) {
-	s, id, want := buildDeviceStore(t, Options{}, 1200)
-
-	// Repeated probes: first arms the placeholder, second installs, third
-	// replays from the memoized links. Results must never change.
-	for i := 0; i < 5; i++ {
-		got, _ := countScan(t, s, id, ScanOptions{Mode: ScanForceIndex})
-		if got != want {
-			t.Fatalf("scan %d matched %d, want %d", i, got, want)
-		}
-	}
-	if s.hotchain == nil {
-		t.Fatal("hot-chain cache disabled in default options")
-	}
-	hs := s.hotchain.stats()
-	if hs.Installs == 0 {
-		t.Fatalf("no hot-chain installs after repeated probes: %+v", hs)
-	}
-	if hs.Hits == 0 {
-		t.Fatalf("no hot-chain replays after repeated probes: %+v", hs)
-	}
-
-	// Truncating must drop below-floor links from replays too.
-	mid := s.BeginAddress() + (s.TailAddress()-s.BeginAddress())/2
-	if err := s.TruncateUntil(mid); err != nil {
-		t.Fatal(err)
-	}
-	floor := s.TruncatedUntil()
-	for i := 0; i < 3; i++ {
-		got := 0
-		if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceIndex}, func(r Record) bool {
-			if r.Address < floor {
-				t.Fatalf("replayed record %d below floor %d", r.Address, floor)
-			}
-			got++
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got >= want {
-			t.Fatalf("post-truncation scan matched %d, want fewer than %d", got, want)
-		}
-	}
-}
-
-func TestFastFullScanEquivalence(t *testing.T) {
-	// The PSF is registered before any ingestion, so its index covers the
-	// whole log and ScanForceFull takes the pointer-matching fast path. Its
-	// results must be identical to the index scan and to the parse-based
-	// full scan over the residual (index-incomplete) store.
-	s, id, want := buildDeviceStore(t, Options{}, 900)
-
-	if !s.rangeIndexComplete(id, s.BeginAddress(), s.TailAddress()) {
-		t.Fatal("index not complete over the whole log")
-	}
-
-	fullAddrs := map[uint64]bool{}
-	gotFull, st := 0, ScanStats{}
-	st, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceFull}, func(r Record) bool {
-		gotFull++
-		fullAddrs[r.Address] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFull != want {
-		t.Fatalf("fast full scan matched %d, want %d", gotFull, want)
-	}
-	if st.Visited == 0 {
-		t.Fatalf("fast full scan visited nothing: %+v", st)
-	}
-
-	gotIdx := 0
-	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceIndex}, func(r Record) bool {
-		gotIdx++
-		if !fullAddrs[r.Address] {
-			t.Fatalf("index scan surfaced %d, absent from full scan", r.Address)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if gotIdx != gotFull {
-		t.Fatalf("index scan matched %d, full scan %d", gotIdx, gotFull)
-	}
-
-	// Parallel fast path agrees with the serial one.
-	gotPar := 0
-	if _, err := s.Scan(PropertyString(id, "spark"), ScanOptions{Mode: ScanForceFull, Parallelism: 4}, func(r Record) bool {
-		gotPar++
-		if !fullAddrs[r.Address] {
-			t.Fatalf("parallel full scan surfaced %d, absent from serial scan", r.Address)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if gotPar != gotFull {
-		t.Fatalf("parallel full scan matched %d, serial %d", gotPar, gotFull)
-	}
-
-	// A store whose PSF was registered mid-stream exercises the parse path
-	// over the uncovered prefix; counts must match a store-independent
-	// expectation (every record is visible, so: same generator, same count).
-	s2 := openTestStore(t, Options{Device: storage.NewMem(), PageBits: 13, MemPages: 2})
+// buildMidStreamStore ingests the buildDeviceStore workload with the PSF
+// registered halfway through, so the index covers only the log's second
+// half and a forced full scan must parse and evaluate every record.
+func buildMidStreamStore(t testing.TB, n int) (*Store, psf.ID, int) {
+	t.Helper()
+	s := openTestStore(t, Options{Device: storage.NewMem(), PageBits: 13, MemPages: 2})
 	var batch [][]byte
-	want2 := 0
-	for i := 0; i < 900; i++ {
+	want := 0
+	for i := 0; i < n; i++ {
 		repo := "spark"
 		if i%3 != 0 {
 			repo = fmt.Sprintf("other%d", i%7)
 		} else {
-			want2++
+			want++
 		}
 		batch = append(batch, genEvent(i, "PushEvent", repo))
 	}
-	half := len(batch) / 2
-	ingestAll(t, s2, batch[:half])
-	id2, _, err := s2.RegisterPSF(psf.Projection("repo.name"))
+	ingestAll(t, s, batch[:n/2])
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingestAll(t, s2, batch[half:])
-	if err := s2.Flush(); err != nil {
+	ingestAll(t, s, batch[n/2:])
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got2 := 0
-	if _, err := s2.Scan(PropertyString(id2, "spark"), ScanOptions{Mode: ScanForceFull}, func(Record) bool {
-		got2++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got2 != want2 {
-		t.Fatalf("parse-path full scan matched %d, want %d", got2, want2)
-	}
+	return s, id, want
 }
 
-func TestPageSummarySkipsAbsentProperty(t *testing.T) {
-	s, id, _ := buildDeviceStore(t, Options{}, 1200)
-	if s.summaries == nil {
-		t.Fatal("page summaries disabled in default options")
-	}
-	if s.summaries.stats().Pages == 0 {
-		t.Fatal("no page summaries built at flush time")
-	}
-
-	// A value that appears in no record: every summarized on-device page
-	// should be skipped without reading it.
-	got := 0
-	st, err := s.Scan(PropertyString(id, "no-such-repo"), ScanOptions{Mode: ScanForceFull}, func(Record) bool {
-		got++
-		return true
+// scanAddrs runs a scan and returns the delivered addresses in delivery
+// order. stopAfter > 0 makes the callback stop after that many records.
+func scanAddrs(t testing.TB, s *Store, id psf.ID, opts ScanOptions, stopAfter int) ([]uint64, ScanStats) {
+	t.Helper()
+	var addrs []uint64
+	st, err := s.Scan(PropertyString(id, "spark"), opts, func(r Record) bool {
+		addrs = append(addrs, r.Address)
+		return stopAfter == 0 || len(addrs) < stopAfter
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 0 {
-		t.Fatalf("absent value matched %d records", got)
+	return addrs, st
+}
+
+func sameAddrSet(a, b []uint64) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
+// TestFastFullScanEquivalence runs the one full-scan loop with both
+// matchers and 1, 2 and 4 workers. On the index-complete store ScanForceFull
+// takes the pointer-match path and must agree with the index scan; on the
+// mid-stream store it parses every record and must agree with the auto
+// plan (full-scan prefix plus index suffix).
+func TestFastFullScanEquivalence(t *testing.T) {
+	stores := []struct {
+		name          string
+		build         func(testing.TB, int) (*Store, psf.ID, int)
+		indexComplete bool
+		oracle        ScanMode
+	}{
+		{"index-complete", func(t testing.TB, n int) (*Store, psf.ID, int) {
+			return buildDeviceStore(t, Options{}, n)
+		}, true, ScanForceIndex},
+		{"mid-stream", buildMidStreamStore, false, ScanAuto},
 	}
-	if st.BloomSkippedPages == 0 {
-		t.Fatalf("no pages skipped via summaries: %+v", st)
+	for _, sc := range stores {
+		s, id, want := sc.build(t, 900)
+		if got := s.rangeIndexComplete(id, s.BeginAddress(), s.TailAddress()); got != sc.indexComplete {
+			t.Fatalf("%s: rangeIndexComplete = %v, want %v", sc.name, got, sc.indexComplete)
+		}
+		oracle, _ := scanAddrs(t, s, id, ScanOptions{Mode: sc.oracle}, 0)
+		if len(oracle) != want {
+			t.Fatalf("%s: %v scan matched %d, want %d", sc.name, sc.oracle, len(oracle), want)
+		}
+		var serialVisited int64
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(t *testing.T) {
+				opts := ScanOptions{Mode: ScanForceFull, Parallelism: workers}
+				got, st := scanAddrs(t, s, id, opts, 0)
+				if !sameAddrSet(got, oracle) {
+					t.Fatalf("full scan surfaced %d records, %v scan %d, or the address sets differ",
+						len(got), sc.oracle, len(oracle))
+				}
+				if st.Visited == 0 || st.Stopped {
+					t.Fatalf("unexpected stats: %+v", st)
+				}
+				if workers == 1 {
+					serialVisited = st.Visited
+					for i := 1; i < len(got); i++ {
+						if got[i] <= got[i-1] {
+							t.Fatalf("serial delivery not ascending at %d: %d after %d", i, got[i], got[i-1])
+						}
+					}
+				} else if st.Visited != serialVisited {
+					t.Fatalf("Visited = %d, serial scan visited %d", st.Visited, serialVisited)
+				}
+
+				const stopAfter = 5
+				got, st = scanAddrs(t, s, id, opts, stopAfter)
+				if len(got) != stopAfter || !st.Stopped || st.Matched != stopAfter {
+					t.Fatalf("early stop delivered %d records (Stopped=%v, Matched=%d), want %d",
+						len(got), st.Stopped, st.Matched, stopAfter)
+				}
+			})
+		}
+	}
+}
+
+// TestParallelFullScanQuarantine: a corrupt device record is quarantined
+// exactly once whether one worker or four sweep the pages.
+func TestParallelFullScanQuarantine(t *testing.T) {
+	mem := storage.NewMem()
+	s := openTestStore(t, Options{Device: mem, PageBits: 12, MemPages: 4, VerifyOnRead: true})
+	id, _, err := s.RegisterPSF(psf.Projection("repo.name"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := fillToDevice(t, s)
+	addrs, sizes := deviceRecordAddrs(t, mem, s.log.HeadAddress())
+	victim := len(addrs) / 2
+	flipPayloadByte(t, mem, addrs[victim], sizes[victim])
+
+	for _, workers := range []int{1, 4} {
+		got, st := scanAddrs(t, s, id, ScanOptions{Mode: ScanForceFull, Parallelism: workers}, 0)
+		if len(got) != n-1 {
+			t.Fatalf("workers=%d: surfaced %d records, want %d", workers, len(got), n-1)
+		}
+		if st.Quarantined != 1 {
+			t.Fatalf("workers=%d: Quarantined = %d, want 1", workers, st.Quarantined)
+		}
+		for _, a := range got {
+			if a == addrs[victim] {
+				t.Fatalf("workers=%d: corrupt record %d surfaced", workers, a)
+			}
+		}
+	}
+}
+
+// TestParallelIndexScanUnshardedChain: Parallelism only fans out across
+// shard chains; a non-sharded chain walk with Parallelism 4 over a device
+// store with the page cache on must deliver exactly the serial walk's
+// records in the same order.
+func TestParallelIndexScanUnshardedChain(t *testing.T) {
+	s, id, want := buildDeviceStore(t, Options{}, 1200)
+	serial, _ := scanAddrs(t, s, id, ScanOptions{Mode: ScanForceIndex}, 0)
+	par, st := scanAddrs(t, s, id, ScanOptions{Mode: ScanForceIndex, Parallelism: 4}, 0)
+	if len(serial) != want || len(par) != want {
+		t.Fatalf("serial matched %d, parallel %d, want %d", len(serial), len(par), want)
+	}
+	for i := range serial {
+		if serial[i] != par[i] {
+			t.Fatalf("delivery %d: parallel %d, serial %d", i, par[i], serial[i])
+		}
+	}
+	if st.PageCacheHits == 0 {
+		t.Fatalf("chain walk did not read through the page cache: %+v", st)
 	}
 }
 
@@ -448,19 +445,15 @@ func TestCacheStatsSnapshot(t *testing.T) {
 	countScan(t, s, id, ScanOptions{Mode: ScanForceIndex})
 
 	cs := s.CacheStats()
-	if !cs.PageCacheEnabled || !cs.SummariesEnabled || !cs.HotChainsEnabled {
-		t.Fatalf("read-path layers disabled by default: %+v", cs)
+	if !cs.PageCacheEnabled {
+		t.Fatalf("page cache disabled by default: %+v", cs)
 	}
 	if cs.PageCache.Fills == 0 {
 		t.Fatalf("page cache never filled: %+v", cs.PageCache)
 	}
-	if cs.Summaries.Pages == 0 {
-		t.Fatalf("no summaries: %+v", cs.Summaries)
-	}
 
-	off := openTestStore(t, Options{PageCachePages: -1, HotChainEntries: -1, DisablePageSummaries: true})
-	cso := off.CacheStats()
-	if cso.PageCacheEnabled || cso.SummariesEnabled || cso.HotChainsEnabled {
-		t.Fatalf("disabled layers report enabled: %+v", cso)
+	off := openTestStore(t, Options{PageCachePages: -1})
+	if cso := off.CacheStats(); cso.PageCacheEnabled {
+		t.Fatalf("disabled page cache reports enabled: %+v", cso)
 	}
 }

@@ -60,13 +60,8 @@ type Store struct {
 	plabels *profileLabels
 
 	// pcache is the read-through cache of immutable on-device log pages
-	// (nil when disabled); summaries holds the per-page PSF membership
-	// bloom filters built at flush time (nil when disabled); hotchain
-	// memoizes the link layout of repeatedly probed chains (nil when
-	// disabled).
-	pcache    *pagecache.Cache
-	summaries *pageSummaries
-	hotchain  *hotChainCache
+	// (nil when disabled).
+	pcache *pagecache.Cache
 
 	// tele is the workload-attribution collector (nil when disabled):
 	// per-operation latency sketches plus PSF / property / tenant heavy
@@ -194,23 +189,8 @@ func Open(opts Options) (*Store, error) {
 	if o.Limits != nil {
 		s.gov = newGovernor(o.Limits, met)
 	}
-	pageWords := 1 << (o.PageBits - 3)
 	if o.PageCachePages > 0 {
-		s.pcache = pagecache.New(o.PageCachePages, pageWords)
-	}
-	if o.HotChainEntries > 0 {
-		s.hotchain = newHotChainCache(o.HotChainEntries)
-	}
-	var onSealed func(page uint64, buf []byte)
-	if !o.DisablePageSummaries {
-		// Summaries are bounded to the page-cache working set plus slack, so
-		// a long-lived store doesn't accumulate a filter per flushed page.
-		maxPages := 4 * o.PageCachePages
-		if maxPages < 256 {
-			maxPages = 256
-		}
-		s.summaries = newPageSummaries(maxPages, pageWords)
-		onSealed = s.summaries.onPageSealed
+		s.pcache = pagecache.New(o.PageCachePages, 1<<(o.PageBits-3))
 	}
 	log, err := hlog.New(hlog.Config{
 		PageBits:      o.PageBits,
@@ -218,7 +198,6 @@ func Open(opts Options) (*Store, error) {
 		Device:        o.Device,
 		Epoch:         em,
 		OnFlush:       s.flushHook(),
-		OnPageSealed:  onSealed,
 		Tracer:        tr,
 		ProfileLabels: o.ProfileLabels,
 	})

@@ -326,7 +326,7 @@ func (s *Store) registerGaugeFuncs() {
 			return 0
 		})
 
-	// Read-path caches: page cache, per-page PSF summaries, hot chains.
+	// Read-path cache: the page cache over on-device log pages.
 	if s.pcache != nil {
 		reg.GaugeFunc("fishstore_pagecache_pages",
 			"On-device log pages currently held by the read-through page cache.",
@@ -343,28 +343,6 @@ func (s *Store) registerGaugeFuncs() {
 		reg.GaugeFunc("fishstore_pagecache_invalidated_total",
 			"Pages dropped by truncation-driven invalidation.",
 			func() float64 { return float64(s.pcache.Stats().Invalidated) })
-	}
-	if s.summaries != nil {
-		reg.GaugeFunc("fishstore_pagesummary_pages",
-			"Flushed pages with a live PSF membership summary.",
-			func() float64 { return float64(s.summaries.stats().Pages) })
-		reg.GaugeFunc("fishstore_pagesummary_skips_total",
-			"Full-scan pages skipped because their summary excluded the property.",
-			func() float64 { return float64(s.summaries.stats().Skips) })
-		reg.GaugeFunc("fishstore_pagesummary_probes_total",
-			"Summary membership probes issued by scans.",
-			func() float64 { return float64(s.summaries.stats().Probes) })
-	}
-	if s.hotchain != nil {
-		reg.GaugeFunc("fishstore_hotchain_entries",
-			"Chains with memoized on-device link layouts (placeholders included).",
-			func() float64 { return float64(s.hotchain.stats().Entries) })
-		reg.GaugeFunc("fishstore_hotchain_hits_total",
-			"Chain walks replayed from the hot-chain cache.",
-			func() float64 { return float64(s.hotchain.stats().Hits) })
-		reg.GaugeFunc("fishstore_hotchain_misses_total",
-			"Device-crossing chain walks not served by the hot-chain cache.",
-			func() float64 { return float64(s.hotchain.stats().Misses) })
 	}
 }
 

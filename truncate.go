@@ -40,12 +40,6 @@ func (s *Store) invalidateReadCaches(floor uint64) {
 	if s.pcache != nil {
 		s.pcache.InvalidateBelow(floorPage)
 	}
-	if s.summaries != nil {
-		s.summaries.invalidateBelow(floorPage)
-	}
-	if s.hotchain != nil {
-		s.hotchain.invalidateBelow(floor)
-	}
 }
 
 // TruncatedUntil returns the current logical begin address (BeginAddress if
